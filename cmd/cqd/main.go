@@ -76,7 +76,7 @@ func run(args []string) error {
 	idleTimeout := fs.Duration("idle-timeout", remote.DefaultIdleTimeout, "drop connections idle longer than this (0 disables)")
 	drainTimeout := fs.Duration("drain", remote.DefaultDrainTimeout, "max wait for in-flight requests on shutdown")
 	parallelism := fs.Int("parallelism", 0, "refresh worker pool size for server-side CQs (0 = GOMAXPROCS)")
-	strategy := fs.String("strategy", "auto", "refresh strategy for server-side CQs (auto, truth-table, incremental, propagate)")
+	strategy := fs.String("strategy", "auto", "refresh strategy for server-side CQs (auto, truth-table, propagate)")
 	pollEvery := fs.Duration("poll", 250*time.Millisecond, "poll interval for server-side CQ triggers")
 	pushMode := fs.Bool("push", false, "push-based refresh: route committed deltas straight to affected CQs (poll loop stays on as fallback)")
 	pushQueue := fs.Int("push-queue", 0, "bounded push queue capacity (0 = default; overflow falls back to polling)")

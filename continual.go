@@ -74,11 +74,11 @@ type Options struct {
 	// notifications is unspecified when Parallelism > 1.
 	Parallelism int
 	// Strategy forces the refresh pipeline for SPJ queries: "auto" (or
-	// empty, the default) picks by cost model per query and adapts as
-	// the workload drifts; "truth-table", "incremental", and
-	// "propagate" force one pipeline. A forced strategy a query cannot
-	// run falls back to auto for that query, logged and counted in
-	// cq.maintainer.fallbacks.
+	// empty, the default) picks by cost model per query between the
+	// paper's truth table and complete re-evaluation, and adapts as the
+	// workload drifts; "truth-table" and "propagate" force one
+	// pipeline. A forced strategy a query cannot run falls back to auto
+	// for that query, logged and counted in cq.maintainer.fallbacks.
 	Strategy string
 	// Push enables commit-driven reactive refresh: every committed
 	// transaction is routed immediately to the continual queries whose

@@ -190,11 +190,10 @@ func e21Select(scale Scale, rounds int, vectorized bool) (e21Arm, error) {
 
 // e21Join drives the E5 3-way join with two changed operands per
 // refresh under the truth-table strategy (the path the columnar kernels
-// vectorize; StrategyAuto would pick the maintained-index join and
-// measure the same non-columnar code twice): term evaluation (predicate
-// + hash probe per signed row) is the hot loop, and the prepared
-// operand caches keep partner index builds out of the measured step on
-// both arms.
+// vectorize; forcing it keeps a propagate re-pick out of the
+// measurement): term evaluation (predicate + hash probe per signed row)
+// is the hot loop, and the prepared operand caches keep partner index
+// builds out of the measured step on both arms.
 func e21Join(scale Scale, rounds int, vectorized bool) (e21Arm, error) {
 	jf, err := newJoinFixture(scale.BaseRows/5, 21)
 	if err != nil {

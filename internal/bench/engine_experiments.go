@@ -552,81 +552,3 @@ func ablateJoin(scale Scale, id, title string, set func(*dra.Engine, bool)) (*Ta
 	}
 	return t, nil
 }
-
-// A5 measures the maintained-index join extension (dra.IncrementalJoin)
-// against the paper's truth-table evaluation and complete re-evaluation
-// on the E5 workload: the maintained variant avoids the per-refresh
-// partner scans that bound Algorithm 1's join gains.
-func A5(scale Scale) (*Table, error) {
-	t := &Table{
-		ID:     "A5",
-		Title:  "maintained-index join vs truth table vs complete re-evaluation",
-		Note:   fmt.Sprintf("3-way join, |A|=|B|=|C| = %d, 10 modified tuples in A per refresh", scale.BaseRows/5),
-		Header: []string{"strategy", "refresh us"},
-	}
-	jf, err := newJoinFixture(scale.BaseRows/5, 51)
-	if err != nil {
-		return nil, err
-	}
-	ij, err := dra.NewIncrementalJoin(scale.NewEngine(), jf.plan, jf.store.Live())
-	if err != nil {
-		return nil, err
-	}
-	// The maintainer folds state destructively, so measure the median over
-	// a sequence of real windows (one touch + Step per sample) instead of
-	// re-running a single window.
-	rounds := scale.Iterations*2 + 1
-	incTimes := make([]time.Duration, 0, rounds)
-	for r := 0; r < rounds; r++ {
-		if err := jf.touch(10, "a"); err != nil {
-			return nil, err
-		}
-		ctx, err := jf.ctx()
-		if err != nil {
-			return nil, err
-		}
-		ts := jf.store.Now()
-		start := time.Now()
-		res, err := ij.Step(ctx, ts)
-		if err != nil {
-			return nil, err
-		}
-		incTimes = append(incTimes, time.Since(start))
-		jf.prev = res.ApplyTo(jf.prev)
-		jf.lastTS = ts
-	}
-	sortDurations(incTimes)
-	incT := incTimes[len(incTimes)/2]
-
-	// Truth table and complete re-evaluation over the final pending window
-	// shape (a fresh identical touch).
-	if err := jf.touch(10, "a"); err != nil {
-		return nil, err
-	}
-	ctx, err := jf.ctx()
-	if err != nil {
-		return nil, err
-	}
-	ts := jf.store.Now()
-	engine := scale.NewEngine()
-	ttT, err := stopwatch(scale.Iterations, func() error {
-		_, err := engine.Reevaluate(jf.plan, ctx, ts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	fullT, err := stopwatch(scale.Iterations, func() error {
-		_, err := dra.FullReevaluate(jf.plan, jf.store.Live(), jf.prev, ts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows,
-		[]string{"maintained indexes (A5)", us(incT)},
-		[]string{"truth table (Algorithm 1)", us(ttT)},
-		[]string{"complete re-evaluation", us(fullT)},
-	)
-	return t, nil
-}

@@ -42,7 +42,6 @@ func All() []Experiment {
 		{"A2", "ablation: delta compaction", A2},
 		{"A3", "ablation: hash vs nested-loop term joins", A3},
 		{"A4", "ablation: incremental aggregates vs Propagate fallback", A4},
-		{"A5", "ablation: maintained-index join vs truth table", A5},
 	}
 }
 

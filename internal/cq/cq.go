@@ -211,7 +211,7 @@ type CQState struct {
 	ResultLen  int
 	Divergence float64
 	// Strategy is the refresh pipeline currently in effect for a
-	// prepared SPJ CQ ("truth-table", "incremental", "propagate");
+	// prepared SPJ CQ ("truth-table", "propagate");
 	// empty for CQs maintained by a non-SPJ state keeper or evaluated
 	// without DRA.
 	Strategy string
@@ -349,14 +349,6 @@ type Config struct {
 	// registration — logged through Logf and counted in
 	// cq.maintainer.fallbacks.
 	Strategy dra.Strategy
-	// IncrementalJoins maintains join CQs with persistent per-operand
-	// replicas and mutable indexes instead of the paper's truth-table
-	// re-evaluation.
-	//
-	// Deprecated: IncrementalJoins is an alias for Strategy =
-	// dra.StrategyIncremental, kept for pre-strategy callers. It is
-	// ignored when Strategy is set to anything but StrategyAuto.
-	IncrementalJoins bool
 	// Logf receives the manager's rare diagnostic lines (strategy
 	// fallbacks at registration). Nil uses the standard library logger.
 	Logf func(format string, args ...any)
@@ -621,7 +613,7 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 			if shared {
 				initial = sharedInit
 			} else {
-				prep, err := m.prepare(def.Name, plan, m.cfg.Strategy)
+				prep, err := m.prepare(def.Name, plan)
 				if err != nil {
 					return nil, err
 				}
@@ -2257,8 +2249,7 @@ func (m *Manager) onPressure(level storage.OverloadLevel) {
 
 // newMaintainer tries the incremental state keepers in turn; a nil, nil
 // return means the plan is plain SPJ (or otherwise unsupported) and the
-// caller should prepare it instead (Manager.prepare). Join maintenance
-// moved into the prepared layer as dra.StrategyIncremental.
+// caller should prepare it instead (Manager.prepare).
 func newMaintainer(cfg Config, plan algebra.Plan, src algebra.Source) (maintainer, error) {
 	engine := cfg.Engine
 	if ia, err := dra.NewIncrementalAggregate(engine, plan, src); err == nil {
@@ -2275,14 +2266,12 @@ func newMaintainer(cfg Config, plan algebra.Plan, src algebra.Source) (maintaine
 }
 
 // prepare builds the compile-once refresh pipeline for an SPJ (or
-// propagate-only) plan. A forced strategy the plan cannot run is not an
-// error for the registration: it falls back to the cost model — but
-// audibly, through Logf and the cq.maintainer.fallbacks counter, never
-// silently.
-func (m *Manager) prepare(name string, plan algebra.Plan, strat dra.Strategy) (*dra.Prepared, error) {
-	if strat == dra.StrategyAuto && m.cfg.IncrementalJoins {
-		strat = dra.StrategyIncremental
-	}
+// propagate-only) plan with Config.Strategy. A forced strategy the plan
+// cannot run is not an error for the registration: it falls back to the
+// cost model — but audibly, through Logf and the cq.maintainer.fallbacks
+// counter, never silently.
+func (m *Manager) prepare(name string, plan algebra.Plan) (*dra.Prepared, error) {
+	strat := m.cfg.Strategy
 	prep, err := m.cfg.Engine.Prepare(plan, strat)
 	if err != nil && strat != dra.StrategyAuto {
 		m.logf("cq %q: %v strategy unavailable (%v); falling back to auto", name, strat, err)

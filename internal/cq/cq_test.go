@@ -706,59 +706,6 @@ func TestOrderByLimitCQFallsBackButStaysCorrect(t *testing.T) {
 	}
 }
 
-func TestIncrementalJoinsConfig(t *testing.T) {
-	tradeSchema := relation.MustSchema(
-		relation.Column{Name: "sym", Type: relation.TString},
-		relation.Column{Name: "volume", Type: relation.TInt},
-	)
-	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
-	insertStock(t, s, "DEC", 150)
-	commit(t, s, func(tx *storage.Tx) error {
-		_, err := tx.Insert("trades", []relation.Value{relation.Str("DEC"), relation.Int(100)})
-		return err
-	})
-	m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, IncrementalJoins: true})
-	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{
-		Name:  "joined",
-		Query: "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym",
-		Mode:  sql.ModeComplete,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := m.State("joined")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Strategy != dra.StrategyIncremental.String() {
-		t.Fatalf("strategy = %q, want incremental (IncrementalJoins alias)", st.Strategy)
-	}
-	commit(t, s, func(tx *storage.Tx) error {
-		_, err := tx.Insert("trades", []relation.Value{relation.Str("DEC"), relation.Int(900)})
-		return err
-	})
-	if _, err := m.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := m.Result("joined")
-	if res.Len() != 2 {
-		t.Errorf("maintained join = %d rows", res.Len())
-	}
-	// Default config keeps the paper's truth-table path for joins.
-	m2 := NewManager(s)
-	defer func() { _ = m2.Close() }()
-	if _, err := m2.Register(Def{Name: "tt", Query: "SELECT * FROM stocks s JOIN trades t ON s.name = t.sym"}); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := m2.State("tt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Strategy != dra.StrategyTruthTable.String() {
-		t.Fatalf("default strategy = %q, want truth-table", st2.Strategy)
-	}
-}
-
 // A forced strategy the plan cannot run must fall back to the cost
 // model audibly: one log line and one cq.maintainer.fallbacks count,
 // never a silent demotion.
@@ -769,14 +716,14 @@ func TestStrategyFallbackIsAudible(t *testing.T) {
 	var logged []string
 	m := NewManagerConfig(s, Config{
 		UseDRA:   true,
-		Strategy: dra.StrategyIncremental, // single-table plan: ineligible
+		Strategy: dra.StrategyTruthTable, // MIN is outside the SPJ class: ineligible
 		Metrics:  reg,
 		Logf: func(format string, args ...any) {
 			logged = append(logged, fmt.Sprintf(format, args...))
 		},
 	})
 	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{Name: "single", Query: "SELECT * FROM stocks WHERE price > 100"}); err != nil {
+	if _, err := m.Register(Def{Name: "single", Query: "SELECT MIN(price) AS lo FROM stocks"}); err != nil {
 		t.Fatalf("registration must survive the fallback: %v", err)
 	}
 	if len(logged) != 1 {
@@ -789,16 +736,67 @@ func TestStrategyFallbackIsAudible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Strategy != dra.StrategyTruthTable.String() {
-		t.Errorf("fallback strategy = %q, want truth-table", st.Strategy)
+	if st.Strategy != dra.StrategyPropagate.String() {
+		t.Errorf("fallback strategy = %q, want propagate", st.Strategy)
 	}
 	// The fallback CQ still refreshes correctly.
-	insertStock(t, s, "IBM", 175)
+	insertStock(t, s, "IBM", 75)
 	if _, err := m.Poll(); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := m.Result("single")
-	if res.Len() != 2 {
-		t.Errorf("result = %d rows, want 2", res.Len())
+	if res.Len() != 1 || res.At(0).Values[0].AsFloat() != 75 {
+		t.Errorf("result = %v, want MIN(price) = 75", res)
+	}
+}
+
+// A journaled strategy only records the pick at checkpoint time: Resume
+// re-prepares with Config.Strategy, so entries naming a strategy this
+// engine no longer has ("incremental") still recover.
+func TestResumeIgnoresJournaledStrategy(t *testing.T) {
+	tradeSchema := relation.MustSchema(
+		relation.Column{Name: "sym", Type: relation.TString},
+		relation.Column{Name: "volume", Type: relation.TInt},
+	)
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
+	insertStock(t, s, "DEC", 150)
+	cfg := Config{UseDRA: true, AutoGC: true}
+	m1 := NewManagerConfig(s, cfg)
+	if _, err := m1.Register(Def{
+		Name:  "joined",
+		Query: "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym",
+		Mode:  sql.ModeComplete,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := m1.SnapshotRegistry(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := NewManagerConfig(s, cfg)
+	defer func() { _ = m2.Close() }()
+	for _, e := range entries {
+		e.Strategy = "incremental"
+		if err := m2.Resume(e); err != nil {
+			t.Fatalf("resume entry journaled as incremental: %v", err)
+		}
+	}
+	commit(t, s, func(tx *storage.Tx) error {
+		_, err := tx.Insert("trades", []relation.Value{relation.Str("DEC"), relation.Int(900)})
+		return err
+	})
+	if _, err := m2.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m2.State("joined")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Strategy != dra.StrategyTruthTable.String() || st.ResultLen != 1 {
+		t.Fatalf("resumed join: strategy %q, %d rows; want truth-table, 1 row", st.Strategy, st.ResultLen)
 	}
 }

@@ -246,18 +246,11 @@ func (m *Manager) Resume(e wal.CQEntry) error {
 				}
 			}
 			if !joined {
-				// Re-prepare with the recovered strategy, with the same
-				// audible fallback as registration.
-				strat := dra.StrategyAuto
-				if e.Strategy != "" {
-					s, perr := dra.ParseStrategy(e.Strategy)
-					if perr != nil {
-						m.logf("cq %q: recovered strategy %q unknown; using auto", e.Name, e.Strategy)
-					} else {
-						strat = s
-					}
-				}
-				prep, err := m.prepare(e.Name, plan, strat)
+				// Re-prepare exactly as registration does, with
+				// Config.Strategy. The journaled e.Strategy is the
+				// concrete pick at checkpoint time; forcing it would
+				// pin an Auto CQ to that pick for good.
+				prep, err := m.prepare(e.Name, plan)
 				if err != nil {
 					return fmt.Errorf("cq %q: re-prepare: %w", e.Name, err)
 				}

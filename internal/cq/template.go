@@ -104,7 +104,7 @@ func (m *Manager) joinTemplateLocked(inst *instance, resume bool) (*relation.Rel
 	}
 	g := m.templates[tpl.Fingerprint]
 	if g == nil {
-		prep, err := m.prepare(fmt.Sprintf("template %016x", tpl.Fingerprint), tpl.Plan, m.cfg.Strategy)
+		prep, err := m.prepare(fmt.Sprintf("template %016x", tpl.Fingerprint), tpl.Plan)
 		if err != nil {
 			// The template plan cannot be prepared (e.g. propagate-only
 			// shape): fall back to an unshared registration.

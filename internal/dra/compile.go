@@ -145,40 +145,6 @@ func compileJoin(n *algebra.JoinPlan) (*compiledNode, error) {
 	return &compiledNode{plan: n, join: cj}, nil
 }
 
-// joinFree reports that no join occurs in the subtree.
-func (n *compiledNode) joinFree() bool {
-	switch {
-	case n.scan != nil:
-		return true
-	case n.sel != nil:
-		return n.sel.input.joinFree()
-	case n.proj != nil:
-		return n.proj.input.joinFree()
-	default:
-		return false
-	}
-}
-
-// operands collects the maximal join-free subtrees of the tree — the
-// units whose filtered deltas decide relevance (Section 5.2) and whose
-// pre-states the truth table materializes.
-func (n *compiledNode) operands(out []*compiledNode) []*compiledNode {
-	if n.joinFree() {
-		return append(out, n)
-	}
-	switch {
-	case n.sel != nil:
-		return n.sel.input.operands(out)
-	case n.proj != nil:
-		return n.proj.input.operands(out)
-	default:
-		for _, op := range n.join.opNodes {
-			out = op.operands(out)
-		}
-		return out
-	}
-}
-
 // eachJoin visits every join group in the tree, topmost first.
 func (n *compiledNode) eachJoin(f func(*compiledJoin)) {
 	switch {
@@ -192,51 +158,4 @@ func (n *compiledNode) eachJoin(f func(*compiledJoin)) {
 			op.eachJoin(f)
 		}
 	}
-}
-
-// equiCoverage is the fraction of the n-1 join steps that can use an
-// equi-key probe when the join is grown greedily from operand 0 — 1.0
-// means a fully equi-connected join graph (no cross steps), the shape
-// where maintained hash indexes pay off.
-func (cj *compiledJoin) equiCoverage() float64 {
-	n := len(cj.ops)
-	if n < 2 {
-		return 1
-	}
-	visited := make([]bool, n)
-	visited[0] = true
-	var filled uint64 = 1
-	equiSteps := 0
-	for count := 1; count < n; count++ {
-		found := false
-		for pi := range cj.preds {
-			if !cj.equi[pi].ok {
-				continue
-			}
-			m := cj.masks[pi]
-			for j := 0; j < n && !found; j++ {
-				jbit := uint64(1) << uint(j)
-				if visited[j] || m&jbit == 0 || m&filled == 0 || m&^(filled|jbit) != 0 {
-					continue
-				}
-				visited[j] = true
-				filled |= jbit
-				equiSteps++
-				found = true
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			for j := 0; j < n; j++ {
-				if !visited[j] {
-					visited[j] = true
-					filled |= uint64(1) << uint(j)
-					break
-				}
-			}
-		}
-	}
-	return float64(equiSteps) / float64(n-1)
 }

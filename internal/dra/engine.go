@@ -27,7 +27,12 @@
 // The package also provides Propagate, the paper's complete
 // re-evaluation reference operator (run Q on both states and Diff), used
 // by the equivalence proofs in the test suite and by the benchmark
-// baselines, and the relevant-update refinement of Section 5.2.
+// baselines.
+//
+// The relevant-update refinement of Section 5.2 needs no pass of its
+// own: the evaluation filters every operand's delta before any join
+// term runs, and a join group whose filtered deltas are all empty
+// returns at once. Such a refresh is reported as Stats.Skipped.
 //
 // Aggregate and DISTINCT queries are outside the SPJ class that
 // Algorithm 1 covers ("limited to SPJ expressions"); Reevaluate falls
@@ -111,7 +116,7 @@ type Stats struct {
 	// recomputed via Propagate.
 	FellBack bool
 	// Skipped reports that the relevant-update refinement (Section 5.2)
-	// proved all updates irrelevant and skipped evaluation entirely.
+	// found every operand's filtered delta empty, so no join term ran.
 	Skipped bool
 	// IndexCacheHits counts operand pre-states served from a prepared
 	// plan's cross-refresh cache (no snapshot scan, indexes reused);
@@ -119,6 +124,11 @@ type Stats struct {
 	// builds. Both stay zero on the unprepared Reevaluate path.
 	IndexCacheHits   int
 	IndexCacheMisses int
+
+	// relevant is set during the evaluation once some operand's
+	// filtered delta is non-empty; evaluate reports its absence as
+	// Skipped.
+	relevant bool
 }
 
 // Engine evaluates differential forms of SPJ plans. The flags correspond
@@ -135,9 +145,6 @@ type Engine struct {
 	// UseHashJoin probes hash indexes for equi-join terms (A3); nested
 	// loops otherwise.
 	UseHashJoin bool
-	// SkipIrrelevant enables the Section 5.2 refinement: when every
-	// operand's filtered delta is empty the re-evaluation is skipped.
-	SkipIrrelevant bool
 	// Vectorized routes differential evaluation through the columnar
 	// batch kernels: operand windows become typed column batches,
 	// selection produces selection indices instead of row copies,
@@ -167,12 +174,11 @@ type Engine struct {
 // NewEngine returns an engine with all optimizations enabled.
 func NewEngine() *Engine {
 	return &Engine{
-		UseHeuristics:  true,
-		CompactDeltas:  true,
-		UseHashJoin:    true,
-		SkipIrrelevant: true,
-		Vectorized:     true,
-		pool:           batch.NewPool(),
+		UseHeuristics: true,
+		CompactDeltas: true,
+		UseHashJoin:   true,
+		Vectorized:    true,
+		pool:          batch.NewPool(),
 	}
 }
 
@@ -255,41 +261,13 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 
 	var signed *delta.Signed
 	if root != nil {
-		if e.SkipIrrelevant {
-			relevant, probed := false, false
-			if e.Vectorized {
-				rel, ok, err := e.vecRelevant(root, ctx)
-				if err != nil {
-					return nil, err
-				}
-				relevant, probed = rel, ok
-			}
-			if !probed {
-				rel, err := e.relevant(root, ctx)
-				if err != nil {
-					return nil, err
-				}
-				relevant = rel
-			}
-			if !relevant {
-				st.Skipped = true
-				signed = &delta.Signed{Schema: plan.Schema()}
-				// The skipped window still moves the operand caches
-				// forward: every filtered delta is empty, so each
-				// replica already equals its operand's state at execTS.
-				root.eachJoin(func(cj *compiledJoin) {
-					if cj.cache != nil {
-						cj.cache.skipTo(ctx, execTS)
-					}
-				})
-			}
-		}
-		if signed == nil && e.Vectorized {
+		if e.Vectorized {
 			net, ok, err := e.vecEvaluate(root, ctx, execTS, &st)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
+				st.Skipped = !st.relevant
 				if m := e.Metrics; m != nil {
 					m.VecSteps.Inc()
 					m.observe(st, span, time.Since(start))
@@ -307,13 +285,15 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 				m.VecFallbacks.Inc()
 			}
 		}
-		if signed == nil {
-			s, err := e.signedDelta(root, ctx, execTS, &st)
-			if err != nil {
-				return nil, err
-			}
-			signed = s
+		s, err := e.signedDelta(root, ctx, execTS, &st)
+		if err != nil {
+			return nil, err
 		}
+		signed = s
+		if s.Len() > 0 {
+			st.relevant = true
+		}
+		st.Skipped = !st.relevant
 	} else {
 		st.FellBack = true
 		s, err := PropagateSigned(plan, ctx.Pre, ctx.Post)
@@ -333,38 +313,6 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		ExecTS: execTS,
 		Stats:  st,
 	}, nil
-}
-
-// Relevant implements the query refinement of Section 5.2: it tests the
-// per-operand differential windows against the operand-local predicates
-// and reports whether any update can affect the query result. It never
-// materializes pre-states, so it is cheap (O(Σ|ΔRi|)).
-func (e *Engine) Relevant(plan algebra.Plan, ctx *Context) (bool, error) {
-	if !supportsDifferential(plan) {
-		return true, nil
-	}
-	root, err := compilePlan(plan)
-	if err != nil {
-		return false, err
-	}
-	return e.relevant(root, ctx)
-}
-
-// relevant tests every maximal join-free subtree's filtered delta for
-// emptiness, on a scratch Stats: the rows it scans are counted again by
-// the real evaluation, so its work never reaches Result.Stats.
-func (e *Engine) relevant(root *compiledNode, ctx *Context) (bool, error) {
-	var scratch Stats
-	for _, op := range root.operands(nil) {
-		d, err := e.signedDelta(op, ctx, 0, &scratch)
-		if err != nil {
-			return false, err
-		}
-		if d.Len() > 0 {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // supportsDifferential reports whether the plan is in the SPJ class
@@ -387,8 +335,7 @@ func supportsDifferential(p algebra.Plan) bool {
 // signedDelta computes the signed change of a compiled node's output
 // between the pre and post states, accumulating work counts into st.
 // execTS is the timestamp the refresh runs at; join groups with an
-// operand cache use it to tag advanced replicas (zero is fine when no
-// cache is attached, e.g. relevance probes on join-free subtrees).
+// operand cache use it to tag advanced replicas.
 func (e *Engine) signedDelta(n *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats) (*delta.Signed, error) {
 	switch {
 	case n.scan != nil:

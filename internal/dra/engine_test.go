@@ -254,16 +254,6 @@ func TestIrrelevantUpdatesSkipped(t *testing.T) {
 	if res.Delta.Len() != 0 {
 		t.Errorf("skip produced a change: %+v", res.Delta.Rows())
 	}
-	// With the refinement disabled the result is the same, just not skipped.
-	e2 := NewEngine()
-	e2.SkipIrrelevant = false
-	res2, _ := f.reval(t, e2, plan, prev)
-	if res2.Stats.Skipped {
-		t.Error("Skipped should be false when refinement disabled")
-	}
-	if res2.Delta.Len() != 0 {
-		t.Error("result must be empty either way")
-	}
 }
 
 func TestJoinDeltaSingleChangedOperand(t *testing.T) {

@@ -104,6 +104,7 @@ func (e *Engine) joinDelta(cj *compiledJoin, ctx *Context, execTS vclock.Timesta
 		}
 		return &delta.Signed{Schema: cj.outSchema}, nil
 	}
+	st.relevant = true
 	if len(changed) > maxChangedOperands {
 		// Complete re-evaluation; the cache is left behind and will
 		// revalidate by table version or rebuild at the next refresh.
@@ -445,7 +446,7 @@ func (e *Engine) hashStep(cur []*partial, in termInput, op *operand, opIdx int, 
 				probe[i] = p.vals[c]
 			}
 			for _, match := range ix.Probe(probe) {
-				out = append(out, mergeReplicaTuple(p, match, op, opIdx))
+				out = append(out, mergePartial(p, delta.SignedRow{TID: match.TID, Values: match.Values, Sign: +1}, op, opIdx))
 			}
 		}
 		return out, nil

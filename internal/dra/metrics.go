@@ -21,31 +21,30 @@ const spanSample = 16
 // /stats surface. With a nil *Metrics the engine is uninstrumented: the
 // only cost in Reevaluate is one nil check.
 type Metrics struct {
-	Reevaluations *obs.Counter   // dra.reevaluations
-	Terms         *obs.Counter   // dra.terms_evaluated
-	DeltaRows     *obs.Counter   // dra.delta_rows_consumed
-	PreTuples     *obs.Counter   // dra.pre_tuples_scanned
-	Differential  *obs.Counter   // dra.differential_path
-	Fallbacks     *obs.Counter   // dra.fallback_path
-	Skips         *obs.Counter   // dra.skipped
-	IndexHits     *obs.Counter   // dra.index_cache.hits
-	IndexMisses   *obs.Counter   // dra.index_cache.misses
-	Repicks       *obs.Counter   // dra.strategy.repicks
+	Reevaluations *obs.Counter // dra.reevaluations
+	Terms         *obs.Counter // dra.terms_evaluated
+	DeltaRows     *obs.Counter // dra.delta_rows_consumed
+	PreTuples     *obs.Counter // dra.pre_tuples_scanned
+	Differential  *obs.Counter // dra.differential_path
+	Fallbacks     *obs.Counter // dra.fallback_path
+	Skips         *obs.Counter // dra.skipped
+	IndexHits     *obs.Counter // dra.index_cache.hits
+	IndexMisses   *obs.Counter // dra.index_cache.misses
+	Repicks       *obs.Counter // dra.strategy.repicks
 	// VecSteps counts evaluations served by the columnar kernels;
 	// VecFallbacks counts the ones that started vectorized but hit an
 	// unrepresentable value and re-ran on the row path.
-	VecSteps     *obs.Counter // dra.vector_steps
-	VecFallbacks *obs.Counter // dra.vector_fallbacks
-	Latency       *obs.Histogram // dra.reevaluate_ns
-	PrepareNS     *obs.Histogram // dra.prepare_ns
-	Traces        *obs.TraceLog  // per-Reevaluate spans, sampled
+	VecSteps     *obs.Counter   // dra.vector_steps
+	VecFallbacks *obs.Counter   // dra.vector_fallbacks
+	Latency      *obs.Histogram // dra.reevaluate_ns
+	PrepareNS    *obs.Histogram // dra.prepare_ns
+	Traces       *obs.TraceLog  // per-Reevaluate spans, sampled
 
-	// stratTruthTable / stratIncremental / stratPropagate gauge how many
-	// live Prepared plans currently run each strategy; re-picks move a
-	// unit between gauges and Close decrements.
-	stratTruthTable  *obs.Gauge // dra.strategy.truth_table
-	stratIncremental *obs.Gauge // dra.strategy.incremental
-	stratPropagate   *obs.Gauge // dra.strategy.propagate
+	// stratTruthTable / stratPropagate gauge how many live Prepared
+	// plans currently run each strategy; re-picks move a unit between
+	// gauges and Close decrements.
+	stratTruthTable *obs.Gauge // dra.strategy.truth_table
+	stratPropagate  *obs.Gauge // dra.strategy.propagate
 
 	calls atomic.Uint64 // span sampling cursor
 }
@@ -56,8 +55,6 @@ func (m *Metrics) strategyGauge(s Strategy) *obs.Gauge {
 	switch s {
 	case StrategyTruthTable:
 		return m.stratTruthTable
-	case StrategyIncremental:
-		return m.stratIncremental
 	case StrategyPropagate:
 		return m.stratPropagate
 	default:
@@ -95,9 +92,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		PrepareNS:     reg.Histogram("dra.prepare_ns"),
 		Traces:        reg.Traces(),
 
-		stratTruthTable:  reg.Gauge("dra.strategy.truth_table"),
-		stratIncremental: reg.Gauge("dra.strategy.incremental"),
-		stratPropagate:   reg.Gauge("dra.strategy.propagate"),
+		stratTruthTable: reg.Gauge("dra.strategy.truth_table"),
+		stratPropagate:  reg.Gauge("dra.strategy.propagate"),
 	}
 }
 

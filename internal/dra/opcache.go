@@ -15,7 +15,7 @@ import (
 // transient truth table re-executes the operand against a historical
 // snapshot and rebuilds a hash index per term, the cache advances the
 // replica by the operand's own signed delta and keeps the indexes
-// maintained — the same telescoping advance IncrementalJoin uses.
+// maintained.
 type cachedOperand struct {
 	rel     *relation.Relation
 	view    *delta.Signed // +1 signed view of rel, built lazily, dropped on advance
@@ -61,6 +61,14 @@ func (c *cachedOperand) index(cols []int, st *Stats) *relation.MutableIndex {
 		st.IndexCacheMisses++
 	}
 	return ix
+}
+
+func keySetHash(cols []int) uint64 {
+	vs := make([]relation.Value, len(cols))
+	for i, c := range cols {
+		vs[i] = relation.Int(int64(c))
+	}
+	return relation.HashValues(vs)
 }
 
 // opCache is one prepared join group's cross-refresh operand cache. It
@@ -127,9 +135,9 @@ func (c *opCache) pre(i int, ctx *Context, st *Stats) (*cachedOperand, error) {
 // current at ctx.LastTS, moving it to execTS — deletions drop the tuple
 // from the replica and every index, anything else upserts (a signed
 // modification arrives as -old before +new, so index removal precedes
-// the re-add, exactly as in IncrementalJoin's replica advance). deltas
-// may be nil for a skipped refresh: all filtered deltas were empty, so
-// the replicas are already the state at execTS and only the tags move.
+// the re-add). When every operand delta is empty — a refresh the
+// Section 5.2 refinement counts as skipped — the replicas are already
+// the state at execTS and only the tags move.
 //
 // Entries from older refreshes that were not revalidated this round are
 // left alone; the next pre() call version-checks or rebuilds them.
@@ -138,7 +146,7 @@ func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp, deltas []*delta
 		if ent == nil || ent.ts != ctx.LastTS {
 			continue
 		}
-		if deltas != nil && deltas[i] != nil && len(deltas[i].Rows) > 0 {
+		if deltas[i] != nil && len(deltas[i].Rows) > 0 {
 			for _, r := range deltas[i].Rows {
 				tup := relation.Tuple{TID: r.TID, Values: r.Values}
 				if r.Sign < 0 {
@@ -165,13 +173,6 @@ func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp, deltas []*delta
 		}
 		ent.verOK = false
 	}
-}
-
-// skipTo moves current entries to execTS without folding anything in —
-// the relevant-update refinement proved every operand's filtered delta
-// empty, so the replicas already equal the state at execTS.
-func (c *opCache) skipTo(ctx *Context, execTS vclock.Timestamp) {
-	c.advance(ctx, execTS, nil)
 }
 
 // invalidate drops every entry (used when a strategy re-pick returns to

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -19,9 +18,6 @@ const (
 	// StrategyTruthTable runs Algorithm 1's 2^k-1 term expansion with
 	// the cross-refresh operand cache.
 	StrategyTruthTable
-	// StrategyIncremental maintains per-operand replicas with hash
-	// indexes and processes deltas by telescoping (IncrementalJoin).
-	StrategyIncremental
 	// StrategyPropagate recomputes the query on both states and diffs —
 	// the paper's complete re-evaluation, cheapest when deltas approach
 	// base size.
@@ -34,8 +30,6 @@ func (s Strategy) String() string {
 		return "auto"
 	case StrategyTruthTable:
 		return "truth-table"
-	case StrategyIncremental:
-		return "incremental"
 	case StrategyPropagate:
 		return "propagate"
 	default:
@@ -50,8 +44,6 @@ func ParseStrategy(s string) (Strategy, error) {
 		return StrategyAuto, nil
 	case "truth-table", "truthtable":
 		return StrategyTruthTable, nil
-	case "incremental":
-		return StrategyIncremental, nil
 	case "propagate":
 		return StrategyPropagate, nil
 	default:
@@ -62,15 +54,11 @@ func ParseStrategy(s string) (Strategy, error) {
 // Cost-model constants. The ratio threshold mirrors the paper's
 // observation that differential evaluation loses to complete
 // re-evaluation once the update window is a sizable fraction of the
-// base; the base floor keeps the incremental structures from paying
-// their maintenance overhead on tiny relations.
+// base.
 const (
 	// propagateRatio is the delta-rows / base-rows EWMA above which a
 	// refresh is cheaper recomputed from scratch.
 	propagateRatio = 0.5
-	// incrementalMinBase is the minimum observed base cardinality before
-	// maintained replicas beat the cached truth table.
-	incrementalMinBase = 64
 	// repickEvery is the refresh period of the adaptive re-pick.
 	repickEvery = 8
 	// ratioAlpha is the EWMA weight of the newest delta/base observation.
@@ -82,8 +70,8 @@ const (
 // metadata) and the cross-refresh operand index cache are built at
 // registration and reused by every Step, so a refresh only pays for
 // delta rows. A Prepared additionally owns the refresh strategy — truth
-// table, incremental join, or propagate — picked by a cost model under
-// StrategyAuto and re-evaluated as the workload drifts.
+// table or propagate — picked by a cost model under StrategyAuto and
+// re-evaluated as the workload drifts.
 //
 // A Prepared serves one CQ and is not safe for concurrent use; the cq
 // manager serializes refreshes per instance.
@@ -97,8 +85,6 @@ type Prepared struct {
 	requested Strategy // as passed to Prepare; Auto enables re-picking
 	cur       Strategy // concrete strategy in effect
 
-	ij *IncrementalJoin // live incremental state; built lazily, dropped on re-pick
-
 	// Cost-model state: an EWMA of delta rows over observed base
 	// cardinality, the last observed base size, and the refresh count
 	// since preparation.
@@ -111,8 +97,7 @@ type Prepared struct {
 
 // Prepare compiles the plan once and picks the refresh strategy.
 // strategy Auto defers to the cost model; a forced strategy the plan
-// cannot run (TruthTable on a non-SPJ plan, Incremental on a plan
-// without a join of two or more operands) is an error, so callers can
+// cannot run (TruthTable on a non-SPJ plan) is an error, so callers can
 // fall back explicitly rather than silently.
 func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error) {
 	start := time.Now()
@@ -144,11 +129,6 @@ func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error
 			return nil, fmt.Errorf("%w: truth-table strategy needs an SPJ plan", ErrUnsupportedPlan)
 		}
 		p.cur = StrategyTruthTable
-	case StrategyIncremental:
-		if !incrementalEligible(plan) {
-			return nil, fmt.Errorf("%w: incremental strategy needs an SPJ join of two or more operands", ErrUnsupportedPlan)
-		}
-		p.cur = StrategyIncremental
 	case StrategyPropagate:
 		p.cur = StrategyPropagate
 	default:
@@ -180,9 +160,8 @@ func (p *Prepared) Tables() []string {
 	return out
 }
 
-// Close releases the prepared state: the strategy gauge unit, the
-// incremental replicas, and the operand caches. The Prepared must not
-// be stepped afterwards.
+// Close releases the prepared state: the strategy gauge unit and the
+// operand caches. The Prepared must not be stepped afterwards.
 func (p *Prepared) Close() {
 	if p.closed {
 		return
@@ -193,7 +172,6 @@ func (p *Prepared) Close() {
 			g.Add(-1)
 		}
 	}
-	p.ij = nil
 	if p.root != nil {
 		p.root.eachJoin(func(cj *compiledJoin) {
 			if cj.cache != nil {
@@ -215,52 +193,15 @@ func (p *Prepared) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) 
 		p.repick()
 	}
 
-	var res *Result
-	var err error
-	switch p.cur {
-	case StrategyIncremental:
-		res, err = p.stepIncremental(ctx, execTS)
-	case StrategyPropagate:
-		res, err = p.engine.evaluate(p.plan, nil, ctx, execTS)
-	default:
-		res, err = p.engine.evaluate(p.plan, p.root, ctx, execTS)
+	root := p.root
+	if p.cur == StrategyPropagate {
+		root = nil
 	}
+	res, err := p.engine.evaluate(p.plan, root, ctx, execTS)
 	if err != nil {
 		return nil, err
 	}
 	p.observeCost(ctx)
-	return res, nil
-}
-
-// stepIncremental refreshes through the maintained-replica join,
-// building it from the pre-state on first use (its replicas and initial
-// result then equal the previous execution, which is exactly the state
-// IncrementalJoin expects to advance from). Construction failure on a
-// structurally eligible plan is unexpected; it demotes to the truth
-// table rather than failing the refresh.
-func (p *Prepared) stepIncremental(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	if p.ij == nil {
-		ij, err := NewIncrementalJoin(p.engine, p.plan, ctx.Pre)
-		if err != nil {
-			p.setStrategy(StrategyTruthTable)
-			return p.engine.evaluate(p.plan, p.root, ctx, execTS)
-		}
-		p.ij = ij
-	}
-	var span *obs.Span
-	var start time.Time
-	m := p.engine.Metrics
-	if m != nil {
-		start = time.Now()
-		span = m.startSpan()
-	}
-	res, err := p.ij.Step(ctx, execTS)
-	if err != nil {
-		return nil, err
-	}
-	if m != nil {
-		m.observe(res.Stats, span, time.Since(start))
-	}
 	return res, nil
 }
 
@@ -272,23 +213,7 @@ func (p *Prepared) pick() Strategy {
 	if p.baseSize > 0 && p.ratio > propagateRatio {
 		return StrategyPropagate
 	}
-	if p.baseSize >= incrementalMinBase && incrementalEligible(p.plan) && p.fullyEquiConnected() {
-		return StrategyIncremental
-	}
 	return StrategyTruthTable
-}
-
-// fullyEquiConnected reports that every join group's graph can be grown
-// entirely over equi-key probes — the shape where maintained hash
-// indexes pay off and cross products never appear.
-func (p *Prepared) fullyEquiConnected() bool {
-	ok := true
-	p.root.eachJoin(func(cj *compiledJoin) {
-		if cj.equiCoverage() < 1 {
-			ok = false
-		}
-	})
-	return ok
 }
 
 // repick re-runs the cost model and switches strategies when the answer
@@ -304,10 +229,8 @@ func (p *Prepared) repick() {
 	}
 }
 
-// setStrategy moves the gauge unit and drops state the new strategy
-// will not maintain: leaving incremental discards the replicas; the
-// truth table's operand caches are invalidated on entry because other
-// strategies left them unadvanced.
+// setStrategy moves the gauge unit; the truth table's operand caches
+// are invalidated on entry because propagate left them unadvanced.
 func (p *Prepared) setStrategy(next Strategy) {
 	if m := p.engine.Metrics; m != nil {
 		if g := m.strategyGauge(p.cur); g != nil {
@@ -316,9 +239,6 @@ func (p *Prepared) setStrategy(next Strategy) {
 		if g := m.strategyGauge(next); g != nil {
 			g.Add(1)
 		}
-	}
-	if p.cur == StrategyIncremental {
-		p.ij = nil
 	}
 	if next == StrategyTruthTable && p.root != nil {
 		p.root.eachJoin(func(cj *compiledJoin) {
@@ -331,9 +251,8 @@ func (p *Prepared) setStrategy(next Strategy) {
 }
 
 // observeCost folds this refresh's window size and observed base
-// cardinality into the cost-model state. Base size is read from
-// whatever structure the refresh maintained (operand cache replicas or
-// incremental replicas) and from the previous result as a floor, so the
+// cardinality into the cost-model state. Base size is read from the
+// operand cache replicas, with the previous result as a floor, so the
 // model keeps tracking even across propagate-only stretches.
 func (p *Prepared) observeCost(ctx *Context) {
 	deltaRows := 0
@@ -343,11 +262,7 @@ func (p *Prepared) observeCost(ctx *Context) {
 		}
 	}
 	base := 0
-	if p.ij != nil {
-		for _, r := range p.ij.replicas {
-			base += r.Len()
-		}
-	} else if p.root != nil {
+	if p.root != nil {
 		p.root.eachJoin(func(cj *compiledJoin) {
 			if cj.cache == nil {
 				return
@@ -366,23 +281,4 @@ func (p *Prepared) observeCost(ctx *Context) {
 		p.baseSize = base
 		p.ratio = (1-ratioAlpha)*p.ratio + ratioAlpha*(float64(deltaRows)/float64(base))
 	}
-}
-
-// incrementalEligible reports that the plan has the head shape
-// IncrementalJoin maintains: an SPJ tree whose root (under an optional
-// projection) is a join of at least two operands.
-func incrementalEligible(plan algebra.Plan) bool {
-	if !supportsDifferential(plan) {
-		return false
-	}
-	root := plan
-	if pp, ok := root.(*algebra.ProjectPlan); ok {
-		root = pp.Input
-	}
-	j, ok := root.(*algebra.JoinPlan)
-	if !ok {
-		return false
-	}
-	ops, _, err := flatten(j)
-	return err == nil && len(ops) >= 2
 }

@@ -43,8 +43,7 @@ func stepPrepared(t *testing.T, f *fixture, p *Prepared, prev *relation.Relation
 // TestPreparedStrategyEquivalenceProperty extends the package's central
 // theorem check to the prepared pipeline: over random multi-table
 // histories and SPJ query shapes, every refresh strategy — cached truth
-// table, incremental replicas, propagate, and the adaptive auto picker —
-// must produce exactly the complete re-evaluation result, round after
+// table, propagate, and the adaptive auto picker — must produce exactly the complete re-evaluation result, round after
 // round against the SAME long-lived Prepared (so cross-refresh cache
 // state is actually exercised).
 func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
@@ -57,7 +56,7 @@ func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 		"SELECT * FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x WHERE w.c > 10",
 		"SELECT r.a, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x",
 	}
-	strategies := []Strategy{StrategyAuto, StrategyTruthTable, StrategyIncremental, StrategyPropagate}
+	strategies := []Strategy{StrategyAuto, StrategyTruthTable, StrategyPropagate}
 
 	rSchema := relation.MustSchema(
 		relation.Column{Name: "s1", Type: relation.TString},
@@ -85,9 +84,6 @@ func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 				e := NewEngine()
 				p, err := e.Prepare(plan, strat)
 				if err != nil {
-					if strat == StrategyIncremental && !incrementalEligible(plan) {
-						t.Skip("plan has no join; incremental strategy is rightly refused")
-					}
 					t.Fatal(err)
 				}
 				defer p.Close()
@@ -108,11 +104,13 @@ func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestPreparedCacheHitsAcrossRefreshes is the tentpole's payoff check:
-// consecutive refreshes of the same prepared join serve unchanged
-// operand pre-states from the cross-refresh cache (hits), instead of
-// re-executing them against a historical snapshot per refresh (the
-// transient path, all misses).
+// TestPreparedCacheHitsAcrossRefreshes: consecutive refreshes of the
+// same prepared join serve unchanged operand pre-states from the
+// cross-refresh cache (hits), instead of re-executing them against a
+// historical snapshot per refresh (the transient path, all misses). An
+// irrelevant window in between (Section 5.2) runs no term and touches
+// no replica, yet still moves the replicas forward, so the next
+// relevant refresh is served by cache hits alone.
 func TestPreparedCacheHitsAcrossRefreshes(t *testing.T) {
 	tradeSchema := relation.MustSchema(
 		relation.Column{Name: "sym", Type: relation.TString},
@@ -124,7 +122,7 @@ func TestPreparedCacheHitsAcrossRefreshes(t *testing.T) {
 		[]relation.Value{relation.Str("DEC"), relation.Int(10)},
 		[]relation.Value{relation.Str("IBM"), relation.Int(20)},
 	)
-	plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
+	plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym WHERE s.price > 50")
 	e := NewEngine()
 	p, err := e.Prepare(plan, StrategyTruthTable)
 	if err != nil {
@@ -155,6 +153,36 @@ func TestPreparedCacheHitsAcrossRefreshes(t *testing.T) {
 	if res2.Stats.PreTuplesScanned != 0 {
 		t.Errorf("second refresh scanned %d pre tuples, want 0 (served from cache)", res2.Stats.PreTuplesScanned)
 	}
+
+	// Third refresh: a stock below the price filter is irrelevant. The
+	// single evaluation pass filters it out, runs no term, and consults
+	// no replica.
+	f.insert(t, "stocks", sv("LOW", 10))
+	res3, complete := stepPrepared(t, f, p, complete)
+	if !res3.Stats.Skipped {
+		t.Error("irrelevant window should be reported as skipped")
+	}
+	if res3.Stats.Terms != 0 {
+		t.Errorf("irrelevant window evaluated %d terms, want 0", res3.Stats.Terms)
+	}
+	if res3.Stats.IndexCacheMisses != 0 {
+		t.Errorf("irrelevant window recorded %d cache misses, want 0", res3.Stats.IndexCacheMisses)
+	}
+
+	// Fourth refresh, trades again: the replicas moved through the
+	// skipped window, so the stocks pre-state is a hit with no rebuild.
+	f.insert(t, "trades", []relation.Value{relation.Str("IBM"), relation.Int(4)})
+	res4, _ := stepPrepared(t, f, p, complete)
+	if res4.Stats.Skipped {
+		t.Error("relevant window reported as skipped")
+	}
+	if res4.Stats.IndexCacheHits == 0 || res4.Stats.IndexCacheMisses != 0 {
+		t.Errorf("refresh after the skipped window: hits=%d misses=%d, want hits only",
+			res4.Stats.IndexCacheHits, res4.Stats.IndexCacheMisses)
+	}
+	if res4.Stats.PreTuplesScanned != 0 {
+		t.Errorf("refresh after the skipped window scanned %d pre tuples, want 0", res4.Stats.PreTuplesScanned)
+	}
 }
 
 // TestPreparedCacheVersionRevalidation exercises the secondary
@@ -175,7 +203,6 @@ func TestPreparedCacheVersionRevalidation(t *testing.T) {
 	f.insert(t, "trades", []relation.Value{relation.Str("DEC"), relation.Int(10)})
 	plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
 	e := NewEngine()
-	e.SkipIrrelevant = false // force evaluation so the cache is consulted
 	p, err := e.Prepare(plan, StrategyTruthTable)
 	if err != nil {
 		t.Fatal(err)
@@ -215,13 +242,9 @@ func TestPreparedCacheVersionRevalidation(t *testing.T) {
 func TestPrepareForcedStrategyErrors(t *testing.T) {
 	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
 	f.insert(t, "stocks", sv("DEC", 150))
-	selPlan := f.plan(t, "SELECT * FROM stocks WHERE price > 100")
 	aggPlan := f.plan(t, "SELECT MIN(price) AS m FROM stocks")
 	e := NewEngine()
 
-	if _, err := e.Prepare(selPlan, StrategyIncremental); err == nil {
-		t.Error("incremental on a joinless plan must error")
-	}
 	if _, err := e.Prepare(aggPlan, StrategyTruthTable); err == nil {
 		t.Error("truth table on a non-SPJ plan must error")
 	}
@@ -236,15 +259,14 @@ func TestPrepareForcedStrategyErrors(t *testing.T) {
 }
 
 // TestPreparedAdaptiveRepick drives the cost model both ways: a large
-// equi-joined base with small deltas graduates from the initial truth
-// table to incremental replicas, while churn rewriting most of the base
-// every round forces propagate.
+// equi-joined base with small deltas stays on the truth table, while
+// churn rewriting most of the base every round forces propagate.
 func TestPreparedAdaptiveRepick(t *testing.T) {
 	tradeSchema := relation.MustSchema(
 		relation.Column{Name: "sym", Type: relation.TString},
 		relation.Column{Name: "volume", Type: relation.TInt},
 	)
-	t.Run("to_incremental", func(t *testing.T) {
+	t.Run("stays_truth_table", func(t *testing.T) {
 		f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
 		var stocks, trades [][]relation.Value
 		for i := 0; i < 64; i++ {
@@ -270,8 +292,8 @@ func TestPreparedAdaptiveRepick(t *testing.T) {
 			_, complete := stepPrepared(t, f, p, prev)
 			prev = complete
 		}
-		if p.Strategy() != StrategyIncremental {
-			t.Errorf("after %d small-delta refreshes over a %d-row base: strategy = %v, want incremental",
+		if p.Strategy() != StrategyTruthTable {
+			t.Errorf("after %d small-delta refreshes over a %d-row base: strategy = %v, want truth-table",
 				2*repickEvery, 2*64, p.Strategy())
 		}
 	})

@@ -101,10 +101,10 @@ func TestDRAEquivalenceProperty(t *testing.T) {
 		func() *Engine { e := NewEngine(); e.UseHeuristics = false; return e },
 		func() *Engine { e := NewEngine(); e.CompactDeltas = false; return e },
 		func() *Engine { e := NewEngine(); e.UseHashJoin = false; return e },
-		func() *Engine { e := NewEngine(); e.SkipIrrelevant = false; return e },
+		func() *Engine { e := NewEngine(); e.Vectorized = false; return e },
 		func() *Engine {
 			e := NewEngine()
-			e.UseHeuristics, e.CompactDeltas, e.UseHashJoin, e.SkipIrrelevant = false, false, false, false
+			e.UseHeuristics, e.CompactDeltas, e.UseHashJoin = false, false, false
 			return e
 		},
 	}

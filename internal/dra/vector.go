@@ -42,32 +42,6 @@ type vecEval struct {
 	adv    []pendingAdvance
 }
 
-// vecRelevant is the relevance probe of Section 5.2 over the columnar
-// kernels: every maximal join-free subtree's filtered window evaluates
-// batch-at-a-time with pooled buffers, replacing the row path's
-// per-tuple predicate loop. Operand subtrees are join-free by
-// construction, so the probe can never queue a cache advance. ok=false
-// means some value was unrepresentable in typed columns; the caller
-// re-probes on the row path.
-func (e *Engine) vecRelevant(root *compiledNode, ctx *Context) (relevant, ok bool, err error) {
-	var scratch Stats
-	v := &vecEval{e: e, ctx: ctx, st: &scratch}
-	defer v.releaseOwned()
-	for _, op := range root.operands(nil) {
-		b, err := v.nodeBatch(op)
-		if err != nil {
-			if errors.Is(err, errVecFallback) {
-				return false, false, nil
-			}
-			return false, false, err
-		}
-		if b.Len() > 0 {
-			return true, true, nil
-		}
-	}
-	return false, true, nil
-}
-
 // vecEvaluate runs the truth-table differential evaluation over typed
 // columnar batches. ok=false means the refresh must re-run on the row
 // path (no state was mutated); the error return is a genuine evaluation
@@ -82,6 +56,9 @@ func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Tim
 			return nil, false, nil
 		}
 		return nil, false, err
+	}
+	if out.Len() > 0 {
+		vst.relevant = true
 	}
 	net := v.netBatch(out)
 	v.applyAdvances()
@@ -99,6 +76,7 @@ func (st *Stats) add(o Stats) {
 	st.PreTuplesScanned += o.PreTuplesScanned
 	st.IndexCacheHits += o.IndexCacheHits
 	st.IndexCacheMisses += o.IndexCacheMisses
+	st.relevant = st.relevant || o.relevant
 }
 
 func (v *vecEval) own(b *batch.Batch) *batch.Batch {
@@ -342,6 +320,7 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 		}
 		return v.own(e.pool.Get(cj.outSchema, 0)), nil
 	}
+	v.st.relevant = true
 	if len(changed) > maxChangedOperands {
 		// Complete re-evaluation, as on the row path; no advance is
 		// recorded, the cache revalidates or rebuilds next refresh.

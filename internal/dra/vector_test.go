@@ -98,7 +98,6 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 		{"no-hash", func(e *Engine) { e.UseHashJoin = false }},
 		{"no-heuristics", func(e *Engine) { e.UseHeuristics = false }},
 		{"no-compact", func(e *Engine) { e.CompactDeltas = false }},
-		{"no-skip", func(e *Engine) { e.SkipIrrelevant = false }},
 	}
 	for qi, q := range vecQueries {
 		for _, va := range variants {

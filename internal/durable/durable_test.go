@@ -322,3 +322,91 @@ func TestQuarantineSurvivesRecovery(t *testing.T) {
 		t.Fatalf("watch result = %d rows", wres.Len())
 	}
 }
+
+// TestRecoveredAutoCQKeepsRepicking: recovery re-prepares a CQ with the
+// configured strategy, as registration does, not with the concrete pick
+// the journal recorded. A recovered Auto join must still move to
+// propagate once every refresh rewrites its whole base.
+func TestRecoveredAutoCQKeepsRepicking(t *testing.T) {
+	fs := faults.NewMemFS(6)
+	sys := openSys(t, fs, 0)
+	for _, name := range []string{"l", "r"} {
+		if err := sys.Store.CreateTable(name, relation.MustSchema(
+			relation.Column{Name: "k", Type: relation.TInt},
+			relation.Column{Name: "v", Type: relation.TInt},
+		)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func(s *storage.Store, f func(tx *storage.Tx) error) {
+		t.Helper()
+		tx := s.Begin()
+		if err := f(tx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(sys.Store, func(tx *storage.Tx) error {
+		for k := int64(0); k < 8; k++ {
+			for _, name := range []string{"l", "r"} {
+				if _, err := tx.Insert(name, []relation.Value{relation.Int(k), relation.Int(k)}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if _, err := sys.Manager.RegisterSQL(`CREATE CONTINUAL QUERY j AS
+		SELECT l.k, l.v, r.v FROM l JOIN r ON l.k = r.k
+		TRIGGER UPDATES 1
+		MODE COMPLETE`); err != nil {
+		t.Fatal(err)
+	}
+	refresh := func(sys *durable.System) {
+		t.Helper()
+		if _, err := sys.Manager.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		commit(sys.Store, func(tx *storage.Tx) error {
+			_, err := tx.Insert("l", []relation.Value{relation.Int(int64(100 + i)), relation.Int(0)})
+			return err
+		})
+		refresh(sys)
+	}
+	if st, _ := sys.Manager.State("j"); st.Strategy != "truth-table" {
+		t.Fatalf("strategy before the crash = %q, want truth-table", st.Strategy)
+	}
+
+	fs.Crash()
+	sys2 := openSys(t, fs, 0)
+	defer sys2.Close()
+	for round := 0; round < 16; round++ {
+		commit(sys2.Store, func(tx *storage.Tx) error {
+			for _, name := range []string{"l", "r"} {
+				rel, err := sys2.Store.Snapshot(name)
+				if err != nil {
+					return err
+				}
+				for _, tup := range rel.Tuples() {
+					vals := []relation.Value{tup.Values[0], relation.Int(int64(round))}
+					if err := tx.Update(name, tup.TID, vals); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		refresh(sys2)
+	}
+	st, err := sys2.Manager.State("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Strategy != "propagate" {
+		t.Fatalf("recovered auto CQ strategy after full-rewrite rounds = %q, want propagate", st.Strategy)
+	}
+}
